@@ -191,7 +191,6 @@ def product_curve(alpha: PiecewiseCurve, t: int) -> PiecewiseCurve:
                     (k + seg.s_lo) / copies,
                     (k + seg.s_hi) / copies,
                     func,
-                    kind=seg.kind,
                     oscillation=copies * seg.oscillation,
                 )
             )

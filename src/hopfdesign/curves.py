@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 from scipy.spatial import cKDTree
 
 from .errors import DegenerateCurveError, DomainError, NumericError
@@ -38,6 +37,8 @@ TAU_LEN = 1e-10
 TAU_SEP = 1e-4
 # Junction continuity / closure tolerance.
 TAU_JOIN = 1e-9
+# Cells per batch of node evaluations in gauss_cells.
+_GAUSS_CHUNK = 512
 
 # Evaluator signature: params (k,) -> (points (k, n), velocities (k, n)).
 SegmentFunc = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
@@ -50,23 +51,12 @@ class Segment:
     s_lo: float
     s_hi: float
     func: SegmentFunc
-    kind: str = "analytic"  # "analytic" or "hermite"
     oscillation: float = 1.0  # winding hint: highest frequency (in cycles) of coordinates
     meta: dict | None = None  # serialization descriptor, when one exists
-    # Interior parameters where the evaluator is only C^1 (spline knots);
-    # integrators align their steps with these.
-    smooth_knots: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if not self.s_lo < self.s_hi:
             raise DomainError(f"segment interval [{self.s_lo}, {self.s_hi}] is empty")
-        if self.kind not in ("analytic", "hermite"):
-            raise DomainError(f"unknown segment kind {self.kind!r}")
-
-    def smoothness_boundaries(self) -> tuple[float, ...]:
-        if self.smooth_knots is None:
-            return (self.s_lo, self.s_hi)
-        return self.smooth_knots
 
 
 def analytic_segment(
@@ -82,7 +72,7 @@ def analytic_segment(
     def func(s: np.ndarray):
         return position(s), velocity(s)
 
-    return Segment(s_lo, s_hi, func, kind="analytic", oscillation=oscillation, meta=meta)
+    return Segment(s_lo, s_hi, func, oscillation=oscillation, meta=meta)
 
 
 def hermite_segment(
@@ -110,20 +100,14 @@ def hermite_segment(
         h = knots[i + 1] - knots[i]
         u = (s - knots[i]) / h
         u2 = u * u
-        u3 = u2 * u
-        h00 = 2 * u3 - 3 * u2 + 1
-        h10 = u3 - 2 * u2 + u
-        h01 = -2 * u3 + 3 * u2
-        h11 = u3 - u2
         d00 = (6 * u2 - 6 * u) / h
         d10 = 3 * u2 - 4 * u + 1
-        d01 = (-6 * u2 + 6 * u) / h
         d11 = 3 * u2 - 2 * u
         p0, p1 = points[i], points[i + 1]
         v0, v1 = velocities[i], velocities[i + 1]
         hc = h[:, None]
-        pos = h00[:, None] * p0 + h10[:, None] * hc * v0 + h01[:, None] * p1 + h11[:, None] * hc * v1
-        vel = d00[:, None] * p0 + d10[:, None] * v0 + d01[:, None] * p1 + d11[:, None] * v1
+        pos = _hermite_value(u[:, None], p0, p1, hc * v0, hc * v1)
+        vel = d00[:, None] * (p0 - p1) + d10[:, None] * v0 + d11[:, None] * v1
         return pos, vel
 
     if meta is None:
@@ -133,9 +117,7 @@ def hermite_segment(
             "points": points.tolist(),
             "velocities": velocities.tolist(),
         }
-    return Segment(
-        float(knots[0]), float(knots[-1]), func, kind="hermite", oscillation=oscillation, meta=meta
-    )
+    return Segment(float(knots[0]), float(knots[-1]), func, oscillation=oscillation, meta=meta)
 
 
 class PiecewiseCurve:
@@ -266,7 +248,7 @@ def segment_quadrature(
 
 
 def _speed(s, pos, vel):
-    return np.linalg.norm(vel, axis=1)
+    return np.linalg.norm(vel, axis=-1)
 
 
 def arc_length(c: PiecewiseCurve, tol: float = TAU_LEN) -> float:
@@ -278,59 +260,96 @@ def arc_length(c: PiecewiseCurve, tol: float = TAU_LEN) -> float:
     return total
 
 
-def _cumulative_length_table(seg: Segment, samples: int = 4096):
-    """Arc length from seg.s_lo to each of `samples`+1 equispaced parameters.
+def gauss_cells(func: SegmentFunc, lo, hi, integrand) -> np.ndarray:
+    """Integral over each cell [lo[j], hi[j]] by 8-point Gauss-Legendre.
 
-    Each subinterval is integrated with 8-point Gauss-Legendre, so the table
-    is accurate to machine precision for smooth segments.
+    `integrand(cells, pos, vel)` gets the slice `cells` and the (k, 8, n)
+    node positions and velocities of those cells, and returns their (k, 8)
+    values.  Nodes are evaluated _GAUSS_CHUNK cells at a time to bound memory.
     """
-    grid = np.linspace(seg.s_lo, seg.s_hi, samples + 1)
     x, w = gauss_nodes(8)
-    h = (seg.s_hi - seg.s_lo) / samples
-    nodes = (grid[:-1, None] + h * x[None, :]).ravel()
-    _, vel = seg.func(nodes)
-    speeds = np.linalg.norm(vel, axis=1).reshape(samples, 8)
-    increments = h * speeds @ w
-    cumulative = np.concatenate([[0.0], np.cumsum(increments)])
-    return grid, cumulative
+    lo = np.asarray(lo, dtype=float)
+    width = np.asarray(hi, dtype=float) - lo
+    out = np.empty(width.size)
+    for first in range(0, width.size, _GAUSS_CHUNK):
+        cells = slice(first, first + _GAUSS_CHUNK)
+        nodes = lo[cells, None] + width[cells, None] * x
+        pos, vel = func(nodes.ravel())
+        shape = nodes.shape + (-1,)
+        out[cells] = width[cells] * (integrand(cells, pos.reshape(shape), vel.reshape(shape)) @ w)
+    return out
 
 
-def reparameterize_constant_speed(c: PiecewiseCurve, samples: int = 4096) -> PiecewiseCurve:
+def running_total(steps) -> np.ndarray:
+    """Prefix sums 0, x0, x0 + x1, ... of `steps`, each addition's rounding error added back (TwoSum)."""
+    x = np.concatenate([[0.0], steps])
+    total = np.cumsum(x)
+    part = total[1:] - total[:-1]
+    lost = (total[:-1] - (total[1:] - part)) + (x[1:] - part)
+    return total + np.concatenate([[0.0], np.cumsum(lost)])
+
+
+def _hermite_value(u, p0, p1, d0, d1):
+    """Cubic Hermite on [0, 1] with end values p0, p1 and end slopes d0, d1."""
+    u2 = u * u
+    u3 = u2 * u
+    return (2 * u3 - 3 * u2 + 1) * p0 + (u3 - 2 * u2 + u) * d0 + (3 * u2 - 2 * u3) * p1 + (u3 - u2) * d1
+
+
+def reparameterize_constant_speed(c: PiecewiseCurve, samples: int = 8192) -> PiecewiseCurve:
     """Same image, constant speed; breakpoints and declared crossings mapped along.
 
-    Inverts a dense cumulative-arclength table (monotone cubic interpolant,
-    Newton-refined against the exact local speed).
+    Each segment gets an exact table of cumulative arc length on `samples`
+    equispaced cells.  Arc length at any parameter is a table value plus a
+    local Gauss-Legendre step, and its inverse is Newton's method started
+    from the cubic Hermite through the table's values and slopes (at the
+    default density, mostly within tolerance already).
     """
-    tables = [_cumulative_length_table(seg, samples) for seg in c.segments]
-    seg_lengths = [float(cum[-1]) for _, cum in tables]
+    tables = []
+    for seg in c.segments:
+        grid = np.linspace(seg.s_lo, seg.s_hi, samples + 1)
+        cum = running_total(gauss_cells(seg.func, grid[:-1], grid[1:], _speed))
+        speeds = np.linalg.norm(seg.func(grid)[1], axis=1)
+        tables.append((grid, cum, speeds))
+    seg_lengths = [float(cum[-1]) for _, cum, _ in tables]
     total = float(sum(seg_lengths))
     if total <= 0.0:
         raise DegenerateCurveError("curve has zero length")
+    tol = 1e-13 * max(total, 1.0)
 
     offsets = np.concatenate([[0.0], np.cumsum(seg_lengths)])
     new_segments = []
     param_maps = []  # (old segment range, forward map old->new) for bookkeeping
 
-    for seg, (grid, cum), offset in zip(c.segments, tables, offsets):
-        speeds_check = np.linalg.norm(seg.func(grid)[1], axis=1)
-        if np.min(speeds_check) < 1e-9 * total:
-            raise DegenerateCurveError(
-                f"velocity vanishes near s={grid[int(np.argmin(speeds_check))]:.6f}"
-            )
-        forward = PchipInterpolator(grid, cum)  # arclength within segment
+    for seg, (grid, cum, speeds), offset in zip(c.segments, tables, offsets):
+        if np.min(speeds) < 1e-9 * total:
+            raise DegenerateCurveError(f"velocity vanishes near s={grid[int(np.argmin(speeds))]:.6f}")
+
+        def forward(s, seg=seg, grid=grid, cum=cum):
+            i = np.clip(np.searchsorted(grid, s, side="right") - 1, 0, samples - 1)
+            return cum[i] + gauss_cells(seg.func, grid[i], s, _speed)
+
         lo = offset / total
         hi = (offset + cum[-1]) / total
 
-        def invert(tau, forward=forward, grid=grid, cum=cum, offset=offset, seg=seg):
+        def invert(tau, seg=seg, grid=grid, cum=cum, speeds=speeds, offset=offset, forward=forward):
             target = tau * total - offset
-            s = np.interp(target, cum, grid)
+            j = np.clip(np.searchsorted(cum, target, side="right") - 1, 0, samples - 1)
+            h = cum[j + 1] - cum[j]
+            s = _hermite_value((target - cum[j]) / h, grid[j], grid[j + 1], h / speeds[j], h / speeds[j + 1])
+            s = np.clip(s, grid[0], grid[-1])
+            todo = np.arange(s.size)  # points whose last Newton residual was not below tol
             for _ in range(30):
-                _, vel = seg.func(s)
-                residual = forward(s) - target
-                s = np.clip(s - residual / np.linalg.norm(vel, axis=1), grid[0], grid[-1])
-                if np.max(np.abs(residual)) < 1e-13 * max(total, 1.0):
-                    break
-            return s
+                _, vel = seg.func(s[todo])
+                residual = forward(s[todo]) - target[todo]
+                s[todo] = np.clip(s[todo] - residual / np.linalg.norm(vel, axis=1), grid[0], grid[-1])
+                todo = todo[~(np.abs(residual) < tol)]  # NaN stays unconverged
+                if todo.size == 0:
+                    return s
+            raise NumericError(
+                "arc-length inverse did not converge",
+                {"residual": float(np.max(np.abs(residual))), "tol": tol},
+            )
 
         def func(tau, invert=invert, seg=seg):
             s = invert(np.asarray(tau, dtype=float))
@@ -338,15 +357,13 @@ def reparameterize_constant_speed(c: PiecewiseCurve, samples: int = 4096) -> Pie
             scale = total / np.linalg.norm(vel, axis=1)
             return pos, vel * scale[:, None]
 
-        new_segments.append(
-            Segment(lo, hi, func, kind=seg.kind, oscillation=seg.oscillation, meta=None)
-        )
+        new_segments.append(Segment(lo, hi, func, oscillation=seg.oscillation, meta=None))
         param_maps.append((seg.s_lo, seg.s_hi, forward, offset))
 
     def map_parameter(s_old: float) -> float:
         for (s_lo, s_hi, forward, offset) in param_maps:
             if s_lo <= s_old <= s_hi:
-                return float((offset + forward(s_old)) / total)
+                return float((offset + forward(np.array([s_old]))[0]) / total)
         return float(s_old)
 
     declared = None

@@ -1,11 +1,23 @@
 """Horizontal lifting of S^2 curves to S^3, holonomy, and generator phases.
 
-The lift solves the non-autonomous ODE beta' = H(beta, alpha'(s)), where
-H(x, v) is the unique tangent vector at x that is complex-orthogonal to x
-(no fiber component) and pushes forward to v under the fibration.  A closed
-base curve generally lifts to an open curve; the endpoint mismatch along the
-fiber is the holonomy, and correcting it by the best (t+1)-th root of unity
-drawn from the cyclic group's generators yields the residual phase.
+The horizontal lift has a closed form: over the base curve alpha = (xi, eta)
+it is beta = sigma(alpha) e^{i theta}, where sigma is a section of the
+fibration and theta integrates the connection form.  Two sections cover S^2:
+
+    S chart, xi >= 0:  sigma   = (sqrt(1+xi), conj(eta)/sqrt(1+xi)) / sqrt(2),
+                       theta'  = Im(conj(eta) eta') / (2 (1 + xi));
+    N chart, xi < 0:   sigma_N = sigma eta/|eta| = (eta/sqrt(1-xi), sqrt(1-xi)) / sqrt(2),
+                       theta'  = -Im(conj(eta) eta') / (2 (1 - xi)).
+
+Each knot of a fixed grid (KNOTS_PER_UNIT per unit parameter) takes the chart
+of its sign of xi, each cell that of its left knot; theta gains -+arg(eta)
+where the chart switches.  theta is 8-point Gauss-Legendre per cell, checked
+against the half-density grid to PHASE_TOL.  The exact knot points and
+velocities beta' = (sigma' + i theta' sigma) e^{i theta} form a Hermite curve.
+
+A closed base curve generally lifts to an open curve; the endpoint mismatch
+along the fiber is the holonomy, and correcting it by the best (t+1)-th root
+of unity drawn from the cyclic group's generators yields the residual phase.
 """
 
 from __future__ import annotations
@@ -15,15 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import PiecewiseCurve, arc_length, hermite_segment, segment_quadrature
+from .curves import PiecewiseCurve, arc_length, gauss_cells, hermite_segment, running_total, segment_quadrature
 from .errors import DomainError, NumericError
-from .hopf import (
-    TAU_FIBER,
-    SpherePoint3,
-    fiber_angle,
-    hopf_map,
-    principal_angle,
-)
+from .hopf import TAU_FIBER, SpherePoint3, fiber_angle, hopf_map, principal_angle
 
 __all__ = [
     "LiftResult",
@@ -35,9 +41,12 @@ __all__ = [
     "enclosed_area_check",
 ]
 
-# Endpoint agreement between successive step-doubled integrations.
-DRIFT_TOL = 1e-10
-_MAX_STEPS_PER_UNIT = 1 << 17
+# Knot density of the lift; every segment gets at least 32 knot cells.
+KNOTS_PER_UNIT = 4096
+# Largest allowed gap between the end phases on the knot grid and on its halving.
+PHASE_TOL = 1e-10
+
+_ROOT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -59,72 +68,46 @@ class HolonomyResult:
     residual_phase: float
 
 
-def _horizontal_velocity(a: complex, b: complex, dv: np.ndarray) -> tuple[complex, complex]:
-    """Tangent at (a, b) with no fiber component pushing forward to dv on S^2."""
-    e1a = -b.conjugate()
-    e1b = a.conjugate()
-    z = (a * b).conjugate()
-    p = a * a
-    q = e1a * e1a  # = conj(b)^2
-    diff = p - q
-    summ = p + q
-    # Images of the horizontal basis (e1, i e1) under the fibration differential.
-    u1 = (-4.0 * z.real, 2.0 * diff.real, 2.0 * diff.imag)
-    u2 = (4.0 * z.imag, 2.0 * summ.imag, -2.0 * summ.real)
-    g11 = u1[0] * u1[0] + u1[1] * u1[1] + u1[2] * u1[2]
-    g22 = u2[0] * u2[0] + u2[1] * u2[1] + u2[2] * u2[2]
-    g12 = u1[0] * u2[0] + u1[1] * u2[1] + u1[2] * u2[2]
-    r1 = dv[0] * u1[0] + dv[1] * u1[1] + dv[2] * u1[2]
-    r2 = dv[0] * u2[0] + dv[1] * u2[1] + dv[2] * u2[2]
-    det = g11 * g22 - g12 * g12
-    if det < 1e-12:
-        raise NumericError("horizontal frame degenerated", {"det": det})
-    lam = complex((g22 * r1 - g12 * r2) / det, (g11 * r2 - g12 * r1) / det)
-    return lam * e1a, lam * e1b
+def _dtheta(pos, vel, sign):
+    """theta' in the S chart (sign +1) or the N chart (sign -1); coordinates on the last axis."""
+    twist = pos[..., 1] * vel[..., 2] - pos[..., 2] * vel[..., 1]
+    return sign * twist / (2.0 * (1.0 + sign * pos[..., 0]))
 
 
-def _integrate_segment(seg, a: complex, b: complex, n_steps: int):
-    """Fixed-step RK4 over one smooth segment with per-step renormalization.
+def _section(pos, vel, sign):
+    """Chart section sigma and its derivative as (k, 2) complex arrays."""
+    north = sign < 0
+    eta = pos[:, 1] + 1j * pos[:, 2]
+    deta = vel[:, 1] + 1j * vel[:, 2]
+    zeta = np.where(north, eta, eta.conj())
+    dzeta = np.where(north, deta, deta.conj())
+    r = np.sqrt(1.0 + sign * pos[:, 0])
+    dr = sign * vel[:, 0] / (2.0 * r)
+    # S chart (r, zeta/r)/sqrt(2) with zeta = conj(eta); N chart (zeta/r, r)/sqrt(2) with zeta = eta.
+    sigma = np.stack([r + 0j, zeta / r], axis=1) / _ROOT2
+    dsigma = np.stack([dr + 0j, (dzeta - zeta * dr / r) / r], axis=1) / _ROOT2
+    sigma[north], dsigma[north] = sigma[north, ::-1], dsigma[north, ::-1]
+    return sigma, dsigma
 
-    Returns endpoint state plus Hermite knot data (parameters, points (m,4),
-    velocities (m,4)) sampled at the renormalized step points.
-    """
-    h = (seg.s_hi - seg.s_lo) / n_steps
-    s_grid = seg.s_lo + h * np.arange(n_steps + 1)
-    s_half = seg.s_lo + h * (np.arange(n_steps) + 0.5)
-    _, vel_grid = seg.func(s_grid)
-    _, vel_half = seg.func(s_half)
 
-    pts = np.empty((n_steps + 1, 4))
-    vels = np.empty((n_steps + 1, 4))
-
-    def record(i, a, b, fa, fb):
-        pts[i, 0], pts[i, 1], pts[i, 2], pts[i, 3] = a.real, a.imag, b.real, b.imag
-        vels[i, 0], vels[i, 1], vels[i, 2], vels[i, 3] = fa.real, fa.imag, fb.real, fb.imag
-
-    fa, fb = _horizontal_velocity(a, b, vel_grid[0])
-    record(0, a, b, fa, fb)
-    for i in range(n_steps):
-        k1a, k1b = fa, fb
-        k2a, k2b = _horizontal_velocity(a + 0.5 * h * k1a, b + 0.5 * h * k1b, vel_half[i])
-        k3a, k3b = _horizontal_velocity(a + 0.5 * h * k2a, b + 0.5 * h * k2b, vel_half[i])
-        k4a, k4b = _horizontal_velocity(a + h * k3a, b + h * k3b, vel_grid[i + 1])
-        a = a + (h / 6.0) * (k1a + 2.0 * (k2a + k3a) + k4a)
-        b = b + (h / 6.0) * (k1b + 2.0 * (k2b + k3b) + k4b)
-        norm = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
-        a /= norm
-        b /= norm
-        fa, fb = _horizontal_velocity(a, b, vel_grid[i + 1])
-        record(i + 1, a, b, fa, fb)
-    return a, b, s_grid, pts, vels
+def _phase(seg, grid, sign, eta):
+    """theta at the knots, from 0 at the first; each knot's value is in its own chart."""
+    cell_sign = sign[:-1]
+    steps = gauss_cells(
+        seg.func, grid[:-1], grid[1:], lambda cells, pos, vel: _dtheta(pos, vel, cell_sign[cells, None])
+    )
+    # theta_S = theta_N + arg(eta) on the overlap of the charts.
+    switch = sign[1:] != cell_sign
+    steps[switch] += sign[1:][switch] * np.angle(eta[1:][switch])
+    return running_total(steps)
 
 
 def horizontal_lift(alpha: PiecewiseCurve, start: SpherePoint3) -> LiftResult:
     """Lift a closed S^2 curve to the horizontal curve on S^3 through `start`.
 
-    The step count per segment doubles until the curve endpoint moves by less
-    than DRIFT_TOL between refinements; the finest run's step data becomes the
-    dense cubic-Hermite representation of the lift.
+    One closed-form pass per segment on the fixed knot grid; raises
+    NumericError when theta on the half-density grid differs by more than
+    PHASE_TOL at the segment ends (summed over segments).
     """
     if alpha.ambient_dim != 3:
         raise DomainError("horizontal lift expects a curve in R^3")
@@ -133,40 +116,36 @@ def horizontal_lift(alpha: PiecewiseCurve, start: SpherePoint3) -> LiftResult:
     if gap > TAU_FIBER:
         raise DomainError(f"start point lies over base-point gap {gap:.3e}, not on the fiber")
 
-    steps_per_unit = 512
-    previous_end = None
-    drift = math.inf
-    while True:
-        a, b = start.a, start.b
-        segment_data = []
-        for seg in alpha.segments:
-            n = max(32, math.ceil(steps_per_unit * (seg.s_hi - seg.s_lo)))
-            a, b, s_grid, pts, vels = _integrate_segment(seg, a, b, n)
-            segment_data.append((seg, s_grid, pts, vels))
-        end = np.array([a.real, a.imag, b.real, b.imag])
-        if previous_end is not None:
-            drift = float(np.linalg.norm(end - previous_end))
-            if drift < DRIFT_TOL:
-                break
-        previous_end = end
-        if steps_per_unit >= _MAX_STEPS_PER_UNIT:
-            raise NumericError(
-                "lift integrator did not reach endpoint tolerance",
-                {"steps_per_unit": steps_per_unit, "drift": drift},
-            )
-        steps_per_unit *= 2
+    end = np.array([start.a, start.b])
+    phase_error = 0.0
+    beta_segments = []
+    for seg in alpha.segments:
+        cells = 2 * max(16, math.ceil(KNOTS_PER_UNIT / 2 * (seg.s_hi - seg.s_lo)))
+        grid = np.linspace(seg.s_lo, seg.s_hi, cells + 1)
+        pos, vel = seg.func(grid)
+        sign = np.where(pos[:, 0] < 0.0, -1.0, 1.0)
+        eta = pos[:, 1] + 1j * pos[:, 2]
+        theta = _phase(seg, grid, sign, eta)
+        coarse = _phase(seg, grid[::2], sign[::2], eta[::2])
+        phase_error += abs(principal_angle(theta[-1] - coarse[-1]))
 
-    beta_segments = [
-        hermite_segment(s_grid, pts, vels, oscillation=seg.oscillation)
-        for seg, s_grid, pts, vels in segment_data
-    ]
+        sigma, dsigma = _section(pos, vel, sign)
+        # The segment starts where the previous one ended: e^{i theta(s_lo)} = <end, sigma>.
+        z = np.vdot(sigma[0], end)
+        rotation = (z / abs(z) * np.exp(1j * theta))[:, None]
+        beta = sigma * rotation
+        dbeta = (dsigma + 1j * _dtheta(pos, vel, sign)[:, None] * sigma) * rotation
+        # (a, b) complex rows viewed as (Re a, Im a, Re b, Im b).
+        beta_segments.append(
+            hermite_segment(grid, beta.view(float), dbeta.view(float), oscillation=seg.oscillation)
+        )
+        end = beta[-1]
+
+    diagnostics = {"knots_per_unit": KNOTS_PER_UNIT, "phase_error": phase_error}
+    if not phase_error <= PHASE_TOL:  # NaN fails too
+        raise NumericError("lift phase differs between the knot grid and its halving", diagnostics)
     beta = PiecewiseCurve(beta_segments, ambient_dim=4, closed=False)
-    return LiftResult(
-        beta=beta,
-        start_point=start,
-        lift_length=arc_length(beta),
-        diagnostics={"steps_per_unit": steps_per_unit, "endpoint_drift": drift},
-    )
+    return LiftResult(beta=beta, start_point=start, lift_length=arc_length(beta), diagnostics=diagnostics)
 
 
 def _endpoint(beta: PiecewiseCurve, s: float) -> SpherePoint3:

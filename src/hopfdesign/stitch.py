@@ -290,9 +290,7 @@ def assemble(plan: StitchPlan, theta: PhaseProfile, lift: LiftResult) -> Stitche
                 return pos, vel
 
             osc = copies * (beta.max_oscillation() + abs(slope) / _TWO_PI + 1.0)
-            segments.append(
-                Segment((k + r_lo) / copies, (k + r_hi) / copies, func, kind="hermite", oscillation=osc)
-            )
+            segments.append(Segment((k + r_lo) / copies, (k + r_hi) / copies, func, oscillation=osc))
 
     first_pos, _ = segments[0].func(np.array([0.0]))
     last_pos, _ = segments[-1].func(np.array([1.0]))

@@ -68,6 +68,8 @@ def test_lift_report_fields(tmp_path):
     assert abs(abs(payload["residual_phase"]) - math.pi / 2) < 1e-9
     assert abs(payload["lift_length"] - math.pi) < 1e-9
     assert abs(payload["generator_bound"] - math.pi / 2) < 1e-12
+    assert payload["settings"]["knots_per_unit"] == 4096
+    assert payload["settings"]["phase_error"] < 1e-10
 
 
 def test_lift_with_explicit_start(tmp_path):

@@ -13,9 +13,10 @@ from hopfdesign.curves import (
     evaluate,
     hermite_segment,
     reparameterize_constant_speed,
+    running_total,
     self_intersection_parameters,
 )
-from hopfdesign.errors import DegenerateCurveError, DomainError
+from hopfdesign.errors import DegenerateCurveError, DomainError, NumericError
 
 from conftest import make_figure_eight, make_speed_profile_circle
 
@@ -110,6 +111,17 @@ def test_arc_length_additive_over_splits():
     assert abs(arc_length(whole) - arc_length(split)) < 1e-12
 
 
+def test_running_total_matches_exact_prefix_sums():
+    # Reference: math.fsum of every prefix, exact up to the final rounding.
+    rng = np.random.default_rng(7)
+    x = rng.uniform(0.0, 1e-3, 2000)
+    x[0] = math.pi
+    exact = np.array([math.fsum(x[: k + 1]) for k in range(x.size)])
+    total = running_total(x)
+    assert total[0] == 0.0
+    assert np.all(np.abs(total[1:] - exact) <= np.spacing(exact))
+
+
 def test_reparameterize_constant_speed_is_identity_on_circles():
     c = equator_curve()
     cs = reparameterize_constant_speed(c)
@@ -127,7 +139,7 @@ def test_reparameterize_speed_profile_circle():
     s = np.linspace(0.0, 1.0, 513)
     got, vel = cs.point_velocity(s)
     want, _ = equator_curve().point_velocity(s)
-    assert np.max(np.linalg.norm(got - want, axis=1)) < 1e-9
+    assert np.max(np.linalg.norm(got - want, axis=1)) < 1e-12
     speeds = np.linalg.norm(vel, axis=1)
     assert np.max(np.abs(speeds - 2 * math.pi)) < 1e-6 * 2 * math.pi
     assert abs(arc_length(cs) - arc_length(warped)) < 1e-9 * arc_length(warped)
@@ -150,6 +162,18 @@ def test_reparameterize_maps_declared_crossings():
     pb, _ = cs.point_velocity(b)
     assert np.linalg.norm(pa - pb) < 1e-9
 
+    # The velocities are the derivative of the positions: 4th-order central differences.
+    s = np.linspace(0.01, 0.99, 97)
+    h = 1e-6
+
+    def at(x):
+        return cs.point_velocity(x)[0]
+
+    approx = (at(s - 2 * h) - 8 * at(s - h) + 8 * at(s + h) - at(s + 2 * h)) / (12 * h)
+    _, vel = cs.point_velocity(s)
+    rel = np.linalg.norm(vel - approx, axis=1) / np.linalg.norm(vel, axis=1)
+    assert np.max(rel) < 1e-8
+
 
 def test_reparameterize_rejects_degenerate_curve():
     def position(s):
@@ -164,6 +188,22 @@ def test_reparameterize_rejects_degenerate_curve():
     stalled = PiecewiseCurve([analytic_segment(position, velocity)], 3)
     with pytest.raises(DegenerateCurveError):
         reparameterize_constant_speed(stalled)
+
+
+def test_reparameterize_raises_when_inverse_does_not_converge():
+    # The speed oscillates faster than the arc-length table resolves, so
+    # Newton's method cannot meet its tolerance; it must say so.
+    def position(s):
+        return np.stack([np.zeros_like(s), np.cos(2 * np.pi * s), np.sin(2 * np.pi * s)], axis=1)
+
+    def velocity(s):
+        rate = 2 * np.pi * (1.0 + 0.9 * np.sin(1e5 * s))
+        return np.stack([np.zeros_like(s), -rate * np.sin(2 * np.pi * s), rate * np.cos(2 * np.pi * s)], axis=1)
+
+    wild = PiecewiseCurve([analytic_segment(position, velocity)], 3)
+    with pytest.raises(NumericError) as excinfo:
+        reparameterize_constant_speed(wild).point_velocity(np.linspace(0.0, 1.0, 101))
+    assert excinfo.value.diagnostics["residual"] > excinfo.value.diagnostics["tol"]
 
 
 def test_self_intersections_simple_curves_empty():

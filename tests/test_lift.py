@@ -1,15 +1,22 @@
-"""Horizontal lifts: the defining ODE, holonomy, generators, enclosed area."""
+"""Horizontal lifts: closed forms, holonomy, generators, enclosed area."""
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from hopfdesign.catalog import equator_curve, latitude_circle
 from hopfdesign.curves import PiecewiseCurve, analytic_segment, arc_length
-from hopfdesign.errors import DomainError
-from hopfdesign.hopf import SpherePoint2, SpherePoint3, fiber_multiply, fiber_section
+from hopfdesign.errors import DomainError, NumericError
+from hopfdesign.hopf import (
+    SpherePoint2,
+    SpherePoint3,
+    fiber_multiply,
+    fiber_section,
+    principal_angle,
+)
 from hopfdesign.lift import (
     enclosed_area_check,
     generator_bound,
@@ -180,12 +187,41 @@ def test_enclosed_area_equator(equator, equator_lift):
     assert enclosed_area_check(equator, equator_lift) < 1e-9
 
 
-@pytest.mark.parametrize("polar", [0.35, 0.8, 1.9])
+@pytest.mark.parametrize("polar", [0.35, 0.8, 1.9, 3.0, 3.13])
 def test_enclosed_area_caps(polar):
     # Cap area 2 pi (1 - cos polar); holonomy must sit at minus half of it.
     alpha = latitude_circle(polar)
     lift = horizontal_lift(alpha, section_start(alpha))
     assert enclosed_area_check(alpha, lift) < 1e-6
+    angle = holonomy(lift, 3).holonomy_angle
+    assert abs(principal_angle(angle + math.pi * (1.0 - math.cos(polar)))) < 1e-12
+
+
+def test_lift_through_south_pole():
+    # The great circle (cos 2 pi s, sin 2 pi s, 0) passes through xi = -1,
+    # where the S-chart section is singular; it bounds a hemisphere, so the
+    # holonomy is pi.
+    def position(s):
+        ang = 2 * np.pi * s
+        return np.stack([np.cos(ang), np.sin(ang), np.zeros_like(s)], axis=1)
+
+    def velocity(s):
+        ang = 2 * np.pi * s
+        return 2 * np.pi * np.stack([-np.sin(ang), np.cos(ang), np.zeros_like(s)], axis=1)
+
+    alpha = PiecewiseCurve([analytic_segment(position, velocity)], 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        lift = horizontal_lift(alpha, section_start(alpha))
+        angle = holonomy(lift, 3).holonomy_angle
+    s = np.linspace(0.0, 1.0, 10001)
+    pos, _ = lift.beta.point_velocity(s)
+    base, _ = alpha.point_velocity(s)
+    a, b = as_complex_pairs(pos)
+    eta = 2.0 * a * np.conj(b)
+    projected = np.stack([np.abs(a) ** 2 - np.abs(b) ** 2, eta.real, eta.imag], axis=1)
+    assert np.max(np.linalg.norm(projected - base, axis=1)) < 1e-11
+    assert abs(principal_angle(angle - math.pi)) < 1e-12
 
 
 def test_enclosed_area_point_curve():
@@ -235,11 +271,9 @@ def test_figure_eight_lift_projects_back():
     assert np.max(np.abs(speeds - base_speeds / 2) / (base_speeds / 2)) < 1e-7
 
 
-def test_lift_step_cap_raises(monkeypatch, equator):
-    import hopfdesign.lift as lift_mod
-
-    # A velocity field with a jump inside one segment never meets the drift
-    # tolerance; with a tight step cap the integrator must give up cleanly.
+def test_lift_step_cap_raises(equator):
+    # A velocity field with a jump inside one knot cell: Gauss-Legendre on the
+    # knot grid and on its halving disagree, so the lift must give up cleanly.
     kink, slow = 0.37, 0.8
     fast = (1.0 - slow * kink) / (1.0 - kink)
 
@@ -256,8 +290,6 @@ def test_lift_step_cap_raises(monkeypatch, equator):
         return np.stack([np.zeros_like(s), -rate * np.sin(ang), rate * np.cos(ang)], axis=1)
 
     kinked = PiecewiseCurve([analytic_segment(position, velocity)], 3)
-    monkeypatch.setattr(lift_mod, "_MAX_STEPS_PER_UNIT", 1024)
-    from hopfdesign.errors import NumericError
-
-    with pytest.raises(NumericError):
+    with pytest.raises(NumericError) as excinfo:
         horizontal_lift(kinked, section_start(kinked))
+    assert excinfo.value.diagnostics["phase_error"] > 1e-10
