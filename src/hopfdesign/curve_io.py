@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +83,8 @@ def _check_type(value, kind, where: str) -> None:
     if kind is float:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise _fail("expected a number", where)
+        if not abs(value) <= sys.float_info.max:  # NaN, +-Inf, or an int no float can hold
+            raise _fail("expected a finite number", where)
     elif kind is int:
         if not isinstance(value, int) or isinstance(value, bool):
             raise _fail("expected an integer", where)

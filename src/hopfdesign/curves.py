@@ -90,7 +90,7 @@ def hermite_segment(
     knots = np.asarray(knots, dtype=float)
     points = np.asarray(points, dtype=float)
     velocities = np.asarray(velocities, dtype=float)
-    if knots.ndim != 1 or knots.size < 2 or np.any(np.diff(knots) <= 0):
+    if knots.ndim != 1 or knots.size < 2 or not np.all(np.diff(knots) > 0):
         raise DomainError("hermite knots must be strictly increasing with at least 2 entries")
     if points.ndim != 2 or points.shape[0] != knots.size or velocities.shape != points.shape:
         raise DomainError("hermite points/velocities must be (num_knots, dim) arrays")
@@ -159,13 +159,13 @@ class PiecewiseCurve:
             pl, _ = left.func(s)
             pr, _ = right.func(s)
             gap = float(np.linalg.norm(pl - pr))
-            if gap > TAU_JOIN:
+            if not gap <= TAU_JOIN:  # NaN fails too
                 raise DomainError(f"segments disagree at s={left.s_hi}: gap {gap:.3e}")
         if self.closed:
             p0, _ = self.segments[0].func(np.array([0.0]))
             p1, _ = self.segments[-1].func(np.array([1.0]))
             gap = float(np.linalg.norm(p1 - p0))
-            if gap > TAU_JOIN:
+            if not gap <= TAU_JOIN:  # NaN fails too
                 raise DomainError(f"curve is not closed: endpoint gap {gap:.3e}")
 
     def point_velocity(self, s) -> tuple[np.ndarray, np.ndarray]:

@@ -4,14 +4,15 @@ A closed curve is a degree-t design for a space when its normalized line
 integral of every polynomial of degree at most t equals the space average.
 Monomials span that polynomial space and their uniform-measure averages have
 closed forms on spheres and on circle products, so certification reduces to
-one adaptive quadrature pass per monomial against an exact constant.
+one adaptive quadrature of the whole monomial basis against exact constants.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -44,6 +45,11 @@ TAU_QUAD = 1e-11
 TAU_CERT = 1e-8
 
 _MAX_LEVELS = 10
+# Node rows per block of the factored monomial kernel.  Blocks bound the half
+# tables' memory, and BLAS sums at most this many products per entry before
+# the blocks are added: 2048-row blocks raised the torus t=8, d=3 residual
+# from 1.3e-15 to 2.2e-15.
+_KERNEL_ROWS = 512
 
 
 def _exponents_up_to(n: int, t: int) -> list[tuple[int, ...]]:
@@ -90,11 +96,96 @@ def _power_table(coords: np.ndarray, max_degree: int) -> np.ndarray:
 
 
 def _monomial_values(table: np.ndarray, a: tuple[int, ...]) -> np.ndarray:
+    """Per-monomial reference evaluation of x^a from a power table."""
     values = table[0, :, a[0]].copy()
     for i in range(1, len(a)):
         if a[i]:
             values *= table[i, :, a[i]]
     return values
+
+
+def _fill_half_table(out: np.ndarray, scratch: np.ndarray, table: np.ndarray, exps) -> None:
+    """out[j] = prod_i table[i, :, exps[j, i]]; `scratch` is flat, at least out.size long."""
+    factor = scratch[: out.size].reshape(out.shape)
+    out.fill(1.0)
+    for i in range(exps.shape[1]):
+        # Whole rows of the transposed powers are contiguous copies; the indices
+        # are in range, and mode="clip" skips the buffered copy "raise" makes.
+        np.take(np.ascontiguousarray(table[i].T), exps[:, i], axis=0, out=factor, mode="clip")
+        out *= factor
+
+
+@dataclass(frozen=True)
+class _SplitExponents:
+    """Exponents a = (a_L, a_R) split over the first ceil(n/2) and last
+    floor(n/2) coordinates, so x^a = L[a_L] * R[a_R].
+
+    `left` and `right` hold every half exponent of degree at most `degree` in
+    graded order; `rows` and `cols` locate each split exponent in them.  The
+    two half tables have C(degree + n/2, n/2) columns each, far fewer than the
+    C(degree + n, n) monomials they generate.
+    """
+
+    degree: int
+    left: np.ndarray  # (|L|, ceil(n/2))
+    right: np.ndarray  # (|R|, floor(n/2))
+    rows: np.ndarray
+    cols: np.ndarray
+    # Per left degree k: the columns [first, stop) of L with |a_L| = k, and
+    # the number of leading columns of R with |a_R| <= degree - k.
+    degree_blocks: tuple[tuple[int, int, int], ...]
+
+    @classmethod
+    def build(cls, exponents, ambient_dim: int) -> "_SplitExponents":
+        degree = max(sum(a) for a in exponents)
+        cut = (ambient_dim + 1) // 2
+        left = _exponents_up_to(cut, degree)
+        right = _exponents_up_to(ambient_dim - cut, degree)
+        left_index = {a: i for i, a in enumerate(left)}
+        right_index = {a: i for i, a in enumerate(right)}
+        rows = np.array([left_index[tuple(a[:cut])] for a in exponents], dtype=np.intp)
+        cols = np.array([right_index[tuple(a[cut:])] for a in exponents], dtype=np.intp)
+        left_degree = [sum(a) for a in left]
+        right_degree = [sum(a) for a in right]
+        degree_blocks = tuple(
+            (
+                bisect_left(left_degree, k),
+                bisect_right(left_degree, k),
+                bisect_right(right_degree, degree - k),
+            )
+            for k in range(degree + 1)
+        )
+        return cls(
+            degree,
+            np.array(left, dtype=np.intp).reshape(len(left), cut),
+            np.array(right, dtype=np.intp).reshape(len(right), ambient_dim - cut),
+            rows,
+            cols,
+            degree_blocks,
+        )
+
+    def half_tables(self, points: np.ndarray):
+        """Yield (block, L^T, R^T) for consecutive slices of at most _KERNEL_ROWS points.
+
+        For a block of m points L^T is (|L|, m) and R^T is (|R|, m).  Both live
+        in buffers that the next block overwrites, so consume them first.
+        Reusing them keeps each block from faulting in fresh pages.
+        """
+        size = min(points.shape[0], _KERNEL_ROWS)
+        cut = self.left.shape[1]
+        n_left, n_right = self.left.shape[0], self.right.shape[0]
+        left_buf = np.empty(n_left * size)
+        right_buf = np.empty(n_right * size)
+        scratch = np.empty(max(n_left, n_right) * size)
+        for lo in range(0, points.shape[0], _KERNEL_ROWS):
+            block = slice(lo, lo + _KERNEL_ROWS)
+            table = _power_table(points[block], self.degree)
+            m = table.shape[1]
+            left = left_buf[: n_left * m].reshape(n_left, m)
+            right = right_buf[: n_right * m].reshape(n_right, m)
+            _fill_half_table(left, scratch, table[:cut], self.left)
+            _fill_half_table(right, scratch, table[cut:], self.right)
+            yield block, left, right
 
 
 @dataclass(frozen=True)
@@ -104,17 +195,26 @@ class Polynomial:
     ambient_dim: int
     exponents: tuple[tuple[int, ...], ...]
     coefficients: tuple[float, ...]
+    _split: _SplitExponents = field(init=False, repr=False, compare=False)
+    _coeff_matrix: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        split = _SplitExponents.build(self.exponents, self.ambient_dim)
+        matrix = np.zeros((split.left.shape[0], split.right.shape[0]))
+        np.add.at(matrix, (split.rows, split.cols), np.asarray(self.coefficients, dtype=float))
+        object.__setattr__(self, "_split", split)
+        object.__setattr__(self, "_coeff_matrix", matrix)
 
     @property
     def degree(self) -> int:
-        return max(sum(a) for a in self.exponents)
+        return self._split.degree
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
+        """Sum_a c_a x^a at each row, as rowsum(L * (R @ C^T)) with C[a_L, a_R] = c_a."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        table = _power_table(points, self.degree)
-        out = np.zeros(points.shape[0])
-        for a, c in zip(self.exponents, self.coefficients):
-            out += c * _monomial_values(table, a)
+        out = np.empty(points.shape[0])
+        for block, left, right in self._split.half_tables(points):
+            out[block] = np.einsum("ij,ij->j", left, self._coeff_matrix @ right)
         return out
 
 
@@ -219,15 +319,22 @@ def curve_average(c: PiecewiseCurve, a, tol: float = TAU_QUAD) -> float:
     return curve_function_average(c, fn, tol=tol, degree_hint=max(sum(a), 1))
 
 
-def _segment_basis_integrals(seg, basis: MonomialBasis, panels: int):
+def _segment_moments(seg, split: _SplitExponents, panels: int):
+    """Weighted sums of every split monomial over one segment's GL nodes.
+
+    The moment matrix M[a_L, a_R] = sum_k w_k L[k, a_L] R[k, a_R] is built by
+    degree blocks, so only pairs with |a_L| + |a_R| <= degree are multiplied.
+    Returns (sums per monomial, segment length, node count).
+    """
     nodes, weights = _panel_nodes(seg.s_lo, seg.s_hi, panels)
     pos, vel = seg.func(nodes)
     w = weights * np.linalg.norm(vel, axis=1)
-    table = _power_table(pos, basis.degree)
-    sums = np.empty(len(basis))
-    for i, a in enumerate(basis.exponents):
-        sums[i] = np.dot(w, _monomial_values(table, a))
-    return sums, float(np.sum(w))
+    moments = np.zeros((split.left.shape[0], split.right.shape[0]))
+    for block, left, right in split.half_tables(pos):
+        left *= w[block]
+        for first, stop, width in split.degree_blocks:
+            moments[first:stop, :width] += left[first:stop] @ right[:width].T
+    return moments[split.rows, split.cols], float(np.sum(w)), w.size
 
 
 @dataclass(frozen=True)
@@ -273,9 +380,7 @@ class DesignCertificate:
         }
 
 
-def certify(
-    c: PiecewiseCurve, t: int, space: str, tol: float = TAU_CERT, quad_tol: float = TAU_QUAD
-) -> DesignCertificate:
+def certify(c: PiecewiseCurve, t: int, space: str, tol: float = TAU_CERT) -> DesignCertificate:
     """Certify the degree-t design property of a curve on a sphere or torus.
 
     Every monomial of degree at most t is averaged along the curve on a shared
@@ -293,19 +398,27 @@ def certify(
         space_avg = [torus_monomial_average(a, d) for a in basis.exponents]
     else:
         raise DomainError(f"unknown space {space!r}; expected 'sphere' or 'torus'")
+    split = _SplitExponents.build(basis.exponents, c.ambient_dim)
     panel_counts = [_initial_panels(seg, t) for seg in c.segments]
     prev_avgs = None
     levels = 0
+    nodes = 0
     for level in range(_MAX_LEVELS):
         levels = level + 1
         sums = np.zeros(len(basis))
         length = 0.0
         for seg, panels in zip(c.segments, panel_counts):
-            seg_sums, seg_len = _segment_basis_integrals(seg, basis, panels << level)
+            seg_sums, seg_len, seg_nodes = _segment_moments(seg, split, panels << level)
             sums += seg_sums
             length += seg_len
+            nodes += seg_nodes
         avgs = sums / length
-        if prev_avgs is not None and float(np.max(np.abs(avgs - prev_avgs))) < quad_tol:
+        if not np.all(np.isfinite(avgs)):
+            raise NumericError(
+                "certification quadrature produced non-finite values",
+                {"levels": levels, "nodes": nodes},
+            )
+        if prev_avgs is not None and float(np.max(np.abs(avgs - prev_avgs))) < TAU_QUAD:
             break
         prev_avgs = avgs
     else:
@@ -329,8 +442,9 @@ def certify(
         tolerance=tol,
         verdict=bool(max_residual < tol),
         settings={
-            "quad_tol": quad_tol,
+            "quad_tol": TAU_QUAD,
             "refinement_levels": levels,
+            "nodes": nodes,
             "initial_panels": panel_counts,
             "basis_size": len(basis),
         },

@@ -135,6 +135,42 @@ def test_parse_error_exit_code(tmp_path):
     assert "E_PARSE" in result.output
 
 
+def test_parse_rejects_non_finite_numbers(tmp_path):
+    knots = [k / 8 for k in range(9)]
+    points = [[math.cos(2 * math.pi * s), math.sin(2 * math.pi * s), 0.0] for s in knots]
+    velocities = [
+        [-2 * math.pi * math.sin(2 * math.pi * s), 2 * math.pi * math.cos(2 * math.pi * s), 0.0]
+        for s in knots
+    ]
+    segment = {"knots": knots, "points": points, "velocities": velocities}
+    curve = {
+        "format_version": 1,
+        "space": "s2",
+        "ambient_dim": 3,
+        "representation": {"type": "hermite", "segments": [segment]},
+    }
+    path = tmp_path / "hermite.curve"
+    path.write_text(json.dumps(curve))
+    args = ("verify", "--curve", path, "--t", 1, "--space", "s2", "--report", tmp_path / "r.json")
+    result = run(*args)
+    assert result.exit_code in (0, 4), result.output
+    nan, inf = float("nan"), float("inf")
+    cases = (
+        ("points", nan), ("velocities", inf), ("knots", nan), ("points", -inf), ("points", 10**400)
+    )
+    for field, bad in cases:
+        broken = json.loads(json.dumps(curve))
+        target = broken["representation"]["segments"][0][field]
+        if field == "knots":
+            target[3] = bad
+        else:
+            target[3][1] = bad
+        path.write_text(json.dumps(broken))
+        result = run(*args)
+        assert result.exit_code == 2, (field, result.output)
+        assert "E_PARSE" in result.output
+
+
 def test_stitch_determinism(tmp_path):
     alpha = tmp_path / "equator.curve"
     run("example", "--name", "equator", "--out", alpha)

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from hopfdesign.catalog import equator_curve, explicit_s3_curve, torus_curve
-from hopfdesign.errors import DomainError
+from hopfdesign.curves import PiecewiseCurve, analytic_segment
+from hopfdesign.errors import DomainError, NumericError
 from hopfdesign.hopf import SpherePoint2, SpherePoint3, fiber_multiply
 from hopfdesign.verify import (
     MonomialBasis,
@@ -23,6 +24,7 @@ from hopfdesign.verify import (
     sphere_monomial_average,
     torus_monomial_average,
 )
+from hopfdesign.verify import _monomial_values, _power_table
 
 from conftest import make_speed_profile_circle
 
@@ -253,3 +255,72 @@ def test_non_design_base_fails_at_degree_two():
     cert = certify(st.gamma, 2, "sphere")
     assert not cert.verdict
     assert cert.max_residual > 1e-2
+
+
+@pytest.mark.parametrize(
+    "curve,t,space",
+    [
+        (torus_curve(6, 3), 6, "torus"),  # n = 6
+        (explicit_s3_curve(3), 3, "sphere"),  # n = 4
+        (equator_curve(), 4, "sphere"),  # n = 3: the halves have 2 and 1 coordinates
+        (explicit_s3_curve(2), 0, "sphere"),
+    ],
+)
+def test_certify_matches_per_monomial_averages(curve, t, space):
+    # The factored moment kernel against one adaptive quadrature per monomial.
+    cert = certify(curve, t, space)
+    for a, avg in zip(cert.exponents, cert.curve_averages):
+        assert abs(avg - curve_average(curve, a)) < 1e-13, a
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_polynomial_call_matches_term_sum(n):
+    rng = np.random.default_rng(20 + n)
+    # 1100 rows span three kernel blocks.
+    points = rng.uniform(-1.2, 1.2, size=(1100, n))
+    for degree in range(9):
+        basis = MonomialBasis.build(n, degree)
+        # A random subset of the basis, with one exponent repeated.
+        keep = sorted(rng.choice(len(basis), size=max(1, len(basis) // 2), replace=False))
+        exponents = [basis.exponents[i] for i in keep] + [basis.exponents[keep[0]]]
+        coeffs = rng.uniform(-1.0, 1.0, size=len(exponents))
+        f = Polynomial(n, tuple(exponents), tuple(coeffs.tolist()))
+        table = _power_table(points, degree)
+        terms = np.stack([c * _monomial_values(table, a) for a, c in zip(exponents, coeffs)])
+        scale = np.sum(np.abs(terms), axis=0)
+        assert np.all(np.abs(f(points) - terms.sum(axis=0)) <= 1e-12 * scale), degree
+
+
+def test_certify_torus_residual_stays_at_rounding_level():
+    # Guards the kernel's row-block length: longer blocks accumulate more
+    # rounding per moment (2048 rows gave 2.2e-15 here, 512 rows 1.3e-15).
+    cert = certify(torus_curve(8, 3), 8, "torus")
+    assert cert.verdict and cert.max_residual < 2e-15
+
+
+def test_certify_reports_nodes_evaluated(stitched_cache):
+    for curve, t, space in (
+        (stitched_cache(2, 0.0).gamma, 2, "sphere"),
+        (torus_curve(5, 2), 5, "torus"),
+    ):
+        cert = certify(curve, t, space)
+        levels = cert.settings["refinement_levels"]
+        panels = sum(cert.settings["initial_panels"])
+        assert cert.settings["nodes"] == 16 * panels * (2**levels - 1)
+
+
+def test_certify_stops_at_first_non_finite_level():
+    def position(s):
+        p = np.stack([np.cos(2 * np.pi * s), np.sin(2 * np.pi * s), np.zeros_like(s)], axis=1)
+        p[(s > 0.4) & (s < 0.6)] = np.nan
+        return p
+
+    def velocity(s):
+        return 2 * np.pi * np.stack(
+            [-np.sin(2 * np.pi * s), np.cos(2 * np.pi * s), np.zeros_like(s)], axis=1
+        )
+
+    curve = PiecewiseCurve([analytic_segment(position, velocity)], ambient_dim=3)
+    with pytest.raises(NumericError) as info:
+        certify(curve, 2, "sphere")
+    assert info.value.diagnostics["levels"] == 1
